@@ -34,12 +34,14 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # graph build) at num_threads=4, the SIMD kernel layer (dispatch,
 # scalar-vs-SIMD tolerance sweeps, policy interplay) that all trainers now
 # route their inner loops through, the serving layer (concurrent readers
-# over one mmap'd model through the sharded hot-tie cache), and the
+# over one mmap'd model through the sharded hot-tie cache), the
 # streaming-update layer (Hogwild incremental E-step over the affected
-# arc set, warm-start state load/save).
+# arc set, warm-start state load/save), and the out-of-core shard store
+# (the per-block resident/referenced bytes every Hogwild worker shares,
+# hammered by ShardedStoreTest.ConcurrentAdmission).
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
          walks_test ml_test obs_test trace_test centrality_test graph_test
-         kernels_test serve_test incremental_test)
+         kernels_test serve_test incremental_test sharded_store_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # Multi-worker + determinism tests exercise the Hogwild path and the serial

@@ -66,7 +66,6 @@ struct StoreEnv {
   train::ShardedStore::PatternView Pattern(size_t e) const {
     return store.Pattern(e);
   }
-  void NoteStep() { store.NoteStep(); }
 };
 
 }  // namespace
@@ -226,6 +225,17 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
   });
 
   internal::FlushTallies(tallies);
+  if (obs::Enabled()) {
+    // What the E-step's working set cost the resident budget.
+    const train::ShardedStore::Stats stats = store->GetStats();
+    obs::Registry& registry = obs::Registry::Default();
+    registry.GetCounter("store.admissions")->Add(stats.admissions);
+    registry.GetCounter("store.evictions")->Add(stats.evictions);
+    registry.GetGauge("store.max_resident_bytes")
+        ->Set(static_cast<double>(stats.max_resident_bytes));
+    registry.GetGauge("store.budget_bytes")
+        ->Set(static_cast<double>(stats.budget_bytes));
+  }
 
   // Seal the store: stamps CRCs and the sealed flag so the trained
   // parameters validate byte-for-byte and the directory can be reopened.

@@ -1,10 +1,14 @@
 #include "train/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -22,6 +26,19 @@ namespace fs = std::filesystem;
 constexpr uint32_t kFormatVersion = 1;
 constexpr std::array<char, 4> kFooterMagic{'D', 'D', 'E', 'N'};
 constexpr size_t kMaxSectionName = 255;
+
+/// The process umask, read without the set-and-restore race of umask(2);
+/// falls back to 022 where /proc is unavailable.
+mode_t ProcessUmask() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Umask:", 0) == 0) {
+      return static_cast<mode_t>(std::stoul(line.substr(6), nullptr, 8));
+    }
+  }
+  return 022;
+}
 
 void AppendBytes(std::string& out, const void* data, size_t size) {
   out.append(static_cast<const char*>(data), size);
@@ -130,39 +147,45 @@ util::Status AtomicWriteFile(const std::string& path,
   const fs::path target(path);
   const fs::path dir =
       target.has_parent_path() ? target.parent_path() : fs::path(".");
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return util::Status::IOError("cannot open " + tmp_path +
-                                   " for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp_path, ec);
-      return util::Status::IOError("short write to " + tmp_path);
-    }
+  // A unique temp file per call, so concurrent writers to one destination
+  // never share (and interleave into) a temp file; the last rename wins
+  // with a complete image.
+  std::string tmp_path =
+      (dir / (target.filename().string() + ".tmp.XXXXXX")).string();
+  const int fd = ::mkstemp(tmp_path.data());
+  if (fd < 0) {
+    return util::Status::IOError("cannot create a temp file for " + path +
+                                 ": " + std::strerror(errno));
+  }
+  const auto fail = [&](const std::string& what) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    ::unlink(tmp_path.c_str());
+    return util::Status::IOError(what + " " + tmp_path + ": " + reason);
+  };
+  // mkstemp creates 0600; give the published file the mode a plain create
+  // would have had.
+  if (::fchmod(fd, 0666 & ~ProcessUmask()) != 0) return fail("chmod");
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return fail("short write to");
+    done += static_cast<size_t>(n);
   }
   // Flush file data to stable storage before the rename publishes it; a
   // rename that survives a crash must never point at unflushed data.
-  int fd = ::open(tmp_path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return util::Status::IOError("cannot reopen " + tmp_path + " for fsync");
-  }
-  const bool file_synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!file_synced) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return util::Status::IOError("fsync failed for " + tmp_path);
+  if (::fsync(fd) != 0) return fail("fsync failed for");
+  if (::close(fd) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp_path.c_str());
+    return util::Status::IOError("close failed for " + tmp_path + ": " +
+                                 reason);
   }
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp_path.c_str());
     return util::Status::IOError("rename " + tmp_path + " -> " + path +
-                                 " failed");
+                                 " failed: " + reason);
   }
   // Persist the directory entry too; best-effort (some filesystems refuse
   // O_RDONLY on directories), the data itself is already durable.

@@ -59,10 +59,11 @@ uint32_t Crc32(const void* data, size_t size);
 /// Incremental CRC32: feed `Crc32Update` successive chunks starting from 0.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
-/// Atomically replaces `path` with `bytes`: writes `path`.tmp in the same
-/// directory, flushes and fsyncs it, renames it over `path`, and fsyncs the
-/// directory. A crash at any point leaves either the old file or the new
-/// one.
+/// Atomically replaces `path` with `bytes`: writes a unique mkstemp temp
+/// file (`path`.tmp.XXXXXX) in the same directory, fsyncs it, renames it
+/// over `path`, and fsyncs the directory. A crash at any point leaves
+/// either the old file or the new one; concurrent writers to one path each
+/// publish a complete file (the last rename wins) and leave no temp behind.
 util::Status AtomicWriteFile(const std::string& path,
                              std::string_view bytes);
 

@@ -243,6 +243,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   store->meta_ = meta;
   store->arcs_per_shard_ =
       (num_arcs + options.num_shards - 1) / options.num_shards;
+  store->row_bytes_ = init.dimensions * sizeof(float);
 
   // --- Graph file: built in memory, written atomically, sealed at birth.
   const std::string graph_path = options.dir + "/" + fmt::GraphFileName();
@@ -378,6 +379,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
     // resident so admission accounting sees the true working set.
     shard.file.DropResident(shard.evict_offset, shard.evict_bytes);
   }
+  store->LayOutBlocks();
   return store;
 }
 
@@ -424,6 +426,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
   store->meta_ = meta;
   store->arcs_per_shard_ =
       (meta.num_arcs + meta.num_shards - 1) / meta.num_shards;
+  store->row_bytes_ = meta.dimensions * sizeof(float);
   store->offsets_ = reinterpret_cast<const uint64_t*>(base + ranges[1].offset);
   store->adj_ = reinterpret_cast<const uint32_t*>(base + ranges[2].offset);
   store->src_ = reinterpret_cast<const uint32_t*>(base + ranges[3].offset);
@@ -450,6 +453,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
   for (size_t s = 0; s < meta.num_shards; ++s) {
     DD_RETURN_NOT_OK(store->AttachShard(s, dir + "/" + fmt::ShardFileName(s)));
   }
+  store->LayOutBlocks();
   return store;
 }
 
@@ -545,40 +549,71 @@ util::Status ShardedStore::AttachShard(size_t index,
   return util::Status::OK();
 }
 
-void ShardedStore::Admit(Shard& s) {
+void ShardedStore::LayOutBlocks() {
+  size_t num_blocks = 0;
+  for (size_t i = 0; i < meta_.num_shards; ++i) {
+    Shard& s = shards_[i];
+    const auto* base = static_cast<const unsigned char*>(s.file.data());
+    s.block_origin = s.evict_offset / kBlockBytes * kBlockBytes;
+    s.emb_rel = s.evict_offset - s.block_origin;
+    s.conn_rel = static_cast<uint64_t>(
+                     reinterpret_cast<const unsigned char*>(s.conn) - base) -
+                 s.block_origin;
+    s.first_block = num_blocks;
+    num_blocks += (s.file.size() - s.block_origin + kBlockBytes - 1) /
+                  kBlockBytes;
+    block_shard_.resize(num_blocks, static_cast<uint32_t>(i));
+  }
+  blocks_.reset(new Block[num_blocks]);
+}
+
+void ShardedStore::BlockRange(size_t b, uint64_t* begin,
+                              uint64_t* bytes) const {
+  const Shard& s = shards_[block_shard_[b]];
+  const uint64_t start = s.block_origin + (b - s.first_block) * kBlockBytes;
+  *begin = std::max(start, s.evict_offset);
+  *bytes = std::min<uint64_t>(start + kBlockBytes, s.file.size()) - *begin;
+}
+
+void ShardedStore::Admit(size_t b) {
   std::lock_guard<std::mutex> lock(admit_mu_);
-  if (s.resident.load(std::memory_order_acquire) != 0) return;  // raced
-  const uint64_t incoming = s.evict_bytes;
-  // Evict least-recently-used resident shards until the incoming shard
-  // fits. The budget can never force the incoming shard itself out, so a
-  // budget smaller than one shard degrades to exactly-one-resident.
+  if (blocks_[b].resident.load(std::memory_order_relaxed) != 0) return;
+  uint64_t begin = 0;
+  uint64_t incoming = 0;
+  BlockRange(b, &begin, &incoming);
+  // CLOCK: sweep the hand, giving referenced blocks a second chance and
+  // evicting the first unreferenced one, until the incoming block fits.
+  // Block b is not resident, so resident_bytes_ > 0 guarantees a victim
+  // within two revolutions; the budget can never force b itself out, so a
+  // budget smaller than one block degrades to exactly-one-resident. Past
+  // two revolutions, concurrent touches are re-referencing blocks as fast
+  // as the hand clears them; the second chance is then withheld so
+  // admission always terminates.
+  const size_t num_blocks = block_shard_.size();
+  size_t swept = 0;
   while (resident_bytes_ > 0 && resident_bytes_ + incoming > budget_bytes_) {
-    Shard* victim = nullptr;
-    uint64_t oldest = UINT64_MAX;
-    for (size_t i = 0; i < meta_.num_shards; ++i) {
-      Shard& candidate = shards_[i];
-      if (&candidate == &s ||
-          candidate.resident.load(std::memory_order_relaxed) == 0) {
-        continue;
-      }
-      const uint64_t t = candidate.last_use.load(std::memory_order_relaxed);
-      if (t < oldest) {
-        oldest = t;
-        victim = &candidate;
-      }
+    const size_t victim = hand_;
+    hand_ = hand_ + 1 == num_blocks ? 0 : hand_ + 1;
+    Block& candidate = blocks_[victim];
+    if (candidate.resident.load(std::memory_order_relaxed) == 0) continue;
+    if (candidate.referenced.load(std::memory_order_relaxed) != 0 &&
+        ++swept <= 2 * num_blocks) {
+      candidate.referenced.store(0, std::memory_order_relaxed);
+      continue;
     }
-    if (victim == nullptr) break;
-    victim->resident.store(0, std::memory_order_release);
-    victim->file.DropResident(victim->evict_offset, victim->evict_bytes);
-    resident_bytes_ -= victim->evict_bytes;
+    candidate.resident.store(0, std::memory_order_relaxed);
+    uint64_t victim_begin = 0;
+    uint64_t victim_bytes = 0;
+    BlockRange(victim, &victim_begin, &victim_bytes);
+    shards_[block_shard_[victim]].file.DropResident(victim_begin,
+                                                    victim_bytes);
+    resident_bytes_ -= victim_bytes;
     ++evictions_;
   }
   resident_bytes_ += incoming;
   max_resident_bytes_ = std::max(max_resident_bytes_, resident_bytes_);
   ++admissions_;
-  s.last_use.store(tick_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  s.resident.store(1, std::memory_order_release);
+  blocks_[b].resident.store(1, std::memory_order_relaxed);
 }
 
 util::Status ShardedStore::Seal() {
@@ -615,6 +650,15 @@ ShardedStore::Stats ShardedStore::GetStats() const {
   stats.max_resident_bytes = max_resident_bytes_;
   stats.budget_bytes = budget_bytes_;
   return stats;
+}
+
+size_t ShardedStore::NumResidentBlocks() const {
+  std::lock_guard<std::mutex> lock(admit_mu_);
+  size_t count = 0;
+  for (size_t b = 0; b < block_shard_.size(); ++b) {
+    count += blocks_[b].resident.load(std::memory_order_relaxed);
+  }
+  return count;
 }
 
 }  // namespace deepdirect::train

@@ -7,12 +7,20 @@
 // of it is served through MAP_SHARED mmap, so the heap never holds the
 // |E|×l parameter matrices — the kernel's page cache does, and a fixed
 // resident budget (`ram_budget_mb`) bounds how much of it stays mapped in
-// at once:
+// at once.
 //
-//   * EmbRow/ConnRow admit the row's shard on first touch and stamp its
-//     LRU tick; admission over budget evicts the least-recently-used
-//     resident shard by dropping its emb+conn pages (MADV_DONTNEED on a
-//     MAP_SHARED mapping releases RSS without losing data — evicted rows
+// Residency is tracked per block, not per shard: each shard file's emb+conn
+// range is cut into page-aligned kBlockBytes spans, and a CLOCK
+// (second-chance) policy runs over all blocks of all shards.
+//
+//   * EmbRow/ConnRow admit only the block(s) the row's bytes span. A touch
+//     is one relaxed load of the block's resident byte, plus a store to
+//     its referenced byte only when that byte is clear (so steady-state
+//     touches write nothing shared).
+//   * Admission over budget advances a global clock hand: a referenced
+//     resident block gets a second chance (its byte is cleared), an
+//     unreferenced one is evicted by dropping its pages (MADV_DONTNEED on
+//     a MAP_SHARED mapping releases RSS without losing data — evicted rows
 //     fault back in from the page cache / disk on the next touch).
 //   * The returned spans stay valid for the store's lifetime even across
 //     eviction (the mapping is never unmapped mid-run), so Hogwild workers
@@ -22,12 +30,12 @@
 //     against the budget; neither is the pattern arena (both are small
 //     next to M and N and always hot).
 //
-// Residency counters are thread-striped-free by design: the admit path is
-// a mutex (cold — once per shard working-set change), the touch path is
-// two relaxed atomics. Create() fills the embedding sections with the
-// caller's Rng in global row-major arc order — the exact draw order of
-// ml::Matrix::FillUniform — which is what makes an nt=1 sharded run
-// bit-identical to the in-RAM trainer regardless of the shard count.
+// The admit path is a mutex (cold — once per block working-set change);
+// accounting covers whole blocks, so GetStats() is exact. Create() fills
+// the embedding sections with the caller's Rng in global row-major arc
+// order — the exact draw order of ml::Matrix::FillUniform — which is what
+// makes an nt=1 sharded run bit-identical to the in-RAM trainer regardless
+// of the shard count or the budget.
 //
 // Not crash-atomic: shard files are live (unsealed) during training and
 // Seal() must run before Open() will accept them again.
@@ -116,30 +124,26 @@ class ShardedStore {
   uint64_t ShardArcEnd(size_t s) const { return shards_[s].arc_end; }
 
   // --- Parameter rows (budget-managed) ----------------------------------
-  /// Row e of the embedding matrix M. Admits the owning shard (evicting
-  /// LRU shards past the budget) and stamps its LRU tick.
+  /// Residency granularity: bytes per block of a shard's emb+conn range.
+  static constexpr uint64_t kBlockBytes = uint64_t{64} * 1024;
+
+  /// Row e of the embedding matrix M. Admits the block(s) the row spans
+  /// (evicting unreferenced blocks past the budget) and marks them
+  /// referenced.
   std::span<float> EmbRow(size_t e) {
     Shard& s = shards_[ShardOf(e)];
-    if (s.resident.load(std::memory_order_acquire) == 0) Admit(s);
-    s.last_use.store(tick_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    return {s.emb + (e - s.arc_begin) * meta_.dimensions,
-            static_cast<size_t>(meta_.dimensions)};
+    const uint64_t first = (e - s.arc_begin) * meta_.dimensions;
+    Touch(s, s.emb_rel + first * sizeof(float));
+    return {s.emb + first, static_cast<size_t>(meta_.dimensions)};
   }
 
   /// Row e of the connection matrix N; same admission discipline.
   std::span<float> ConnRow(size_t e) {
     Shard& s = shards_[ShardOf(e)];
-    if (s.resident.load(std::memory_order_acquire) == 0) Admit(s);
-    s.last_use.store(tick_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    return {s.conn + (e - s.arc_begin) * meta_.dimensions,
-            static_cast<size_t>(meta_.dimensions)};
+    const uint64_t first = (e - s.arc_begin) * meta_.dimensions;
+    Touch(s, s.conn_rel + first * sizeof(float));
+    return {s.conn + first, static_cast<size_t>(meta_.dimensions)};
   }
-
-  /// Advances the LRU clock; trainers call this once per SGD step so
-  /// eviction order tracks recency of *steps*, not wall time.
-  void NoteStep() { tick_.fetch_add(1, std::memory_order_relaxed); }
 
   // --- Pattern arena ----------------------------------------------------
   /// Pattern data of one undirected arc; `has` is false for arcs without a
@@ -221,6 +225,9 @@ class ShardedStore {
   };
   Stats GetStats() const;
 
+  /// Number of blocks currently admitted (a scan under the admit mutex).
+  size_t NumResidentBlocks() const;
+
  private:
   struct Shard {
     serve::MmapRwFile file;
@@ -236,8 +243,16 @@ class ShardedStore {
     float* conn = nullptr;
     uint64_t evict_offset = 0;  ///< file offset of the emb section
     uint64_t evict_bytes = 0;   ///< emb+conn payload bytes
-    std::atomic<uint32_t> resident{0};
-    std::atomic<uint64_t> last_use{0};
+    uint64_t block_origin = 0;  ///< evict_offset rounded down to a block
+    uint64_t emb_rel = 0;       ///< emb section offset from block_origin
+    uint64_t conn_rel = 0;      ///< conn section offset from block_origin
+    size_t first_block = 0;     ///< global index of the shard's block 0
+  };
+
+  /// Hot residency state of one block, shared by every worker.
+  struct Block {
+    std::atomic<uint8_t> resident{0};
+    std::atomic<uint8_t> referenced{0};
   };
 
   ShardedStore() = default;
@@ -246,12 +261,34 @@ class ShardedStore {
   /// section pointers into shards_[index].
   util::Status AttachShard(size_t index, const std::string& path);
 
-  /// Admits `s` under the budget, evicting LRU resident shards first.
-  void Admit(Shard& s);
+  /// Cuts every shard's emb+conn range into blocks once all shards are
+  /// wired; nothing starts resident.
+  void LayOutBlocks();
+
+  /// Admits the block(s) spanning the row whose bytes start `rel` bytes
+  /// past `s.block_origin`, and marks them referenced.
+  void Touch(const Shard& s, uint64_t rel) {
+    const size_t first = s.first_block + rel / kBlockBytes;
+    const size_t last = s.first_block + (rel + row_bytes_ - 1) / kBlockBytes;
+    for (size_t b = first; b <= last; ++b) {
+      Block& block = blocks_[b];
+      if (block.resident.load(std::memory_order_relaxed) == 0) Admit(b);
+      if (block.referenced.load(std::memory_order_relaxed) == 0) {
+        block.referenced.store(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// File byte range [*begin, *begin + *bytes) of block b in its shard.
+  void BlockRange(size_t b, uint64_t* begin, uint64_t* bytes) const;
+
+  /// Admits block b under the budget, evicting by CLOCK first.
+  void Admit(size_t b);
 
   std::string dir_;
   graph::shard::GraphMeta meta_{};
   size_t arcs_per_shard_ = 1;
+  uint64_t row_bytes_ = 0;
   uint64_t budget_bytes_ = 0;
 
   serve::MmapFile graph_file_;
@@ -261,9 +298,11 @@ class ShardedStore {
   const uint8_t* classes_ = nullptr;
 
   std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Block[]> blocks_;
+  std::vector<uint32_t> block_shard_;  ///< block → owning shard
 
-  std::atomic<uint64_t> tick_{0};
   mutable std::mutex admit_mu_;
+  size_t hand_ = 0;                  // guarded by admit_mu_
   uint64_t resident_bytes_ = 0;      // guarded by admit_mu_
   uint64_t max_resident_bytes_ = 0;  // guarded by admit_mu_
   uint64_t admissions_ = 0;          // guarded by admit_mu_

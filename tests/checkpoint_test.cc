@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,9 +130,50 @@ TEST_F(CheckpointTest, WriteAtomicLeavesNoTempFile) {
   const std::string path = Path("atomic.ckpt");
   ASSERT_TRUE(SampleWriter().WriteAtomic(path).ok());
   EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
+                          fs::directory_iterator()),
+            1);
   auto read = CheckpointData::Read(path);
   EXPECT_TRUE(read.ok()) << read.status().ToString();
+}
+
+TEST_F(CheckpointTest, ConcurrentAtomicWritesToOnePathPublishWholeFiles) {
+  // Writers race to publish distinct images at one path and read it back
+  // after each write: every read must be exactly one writer's complete
+  // image (each has its own size and fill byte, so a torn or interleaved
+  // file cannot pass), and no temp file may outlive the race.
+  const std::string path = Path("shared.bin");
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 20;
+  constexpr size_t kBase = 64 * 1024;
+  const auto image = [](size_t w) {
+    return std::string(kBase + w, static_cast<char>('a' + w));
+  };
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        if (!AtomicWriteFile(path, image(w)).ok()) ++failed_writes;
+        std::ifstream in(path, std::ios::binary);
+        const std::string got((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        if (got.size() < kBase || got.size() >= kBase + kWriters ||
+            got != image(got.size() - kBase)) {
+          ++bad_reads;
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"shared.bin"});
 }
 
 TEST_F(CheckpointTest, ReadOfMissingFileIsIOError) {
