@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot primitives: alias sampling,
 // connected-tie sampling, triad census, BFS, tie-index construction,
-// E-Step iteration throughput (via a tiny training run), and line-graph
-// construction (the size-blowup argument of Sec. 4).
+// E-Step iteration throughput (via a tiny training run), line-graph
+// construction (the size-blowup argument of Sec. 4), the container CRC32
+// and checkpoint overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/crc32_reference.h"
 #include "bench_common.h"
 #include "core/deepdirect.h"
 #include "core/tie_index.h"
@@ -18,6 +20,7 @@
 #include "graph/centrality.h"
 #include "graph/line_graph.h"
 #include "graph/triads.h"
+#include "train/checkpoint.h"
 #include "util/alias_table.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -299,6 +302,42 @@ void BM_LineEmbeddingEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LineEmbeddingEpoch)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  // Throughput of train::Crc32, which every container write and open runs
+  // over the whole image, on a 24 MB buffer (about one E-step checkpoint's
+  // M or N at tencent scale 4), plus an exactness check against the
+  // byte-at-a-time reference loop.
+  constexpr size_t kBytes = size_t{24} << 20;
+  std::vector<unsigned char> buffer(kBytes);
+  util::Rng rng(7);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.Next());
+
+  uint32_t crc = 0;
+  util::Timer timer;
+  for (auto _ : state) {
+    crc = train::Crc32(buffer.data(), buffer.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  const double seconds = timer.ElapsedSeconds();
+  const double bytes = static_cast<double>(kBytes) *
+                       static_cast<double>(state.iterations());
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+  const bool matches = crc == deepdirect::testing::ReferenceCrc32(
+                                  buffer.data(), buffer.size());
+  state.counters["matches_reference"] = matches ? 1.0 : 0.0;
+  if (g_session != nullptr) {
+    // Throughput depends on the host, so it is informational; exactness
+    // is gated.
+    g_session->Add("crc32_gbytes_per_sec", "GB/s", "none",
+                   seconds > 0.0 ? bytes / seconds / 1e9 : 0.0, {});
+    g_session->Add("crc32_matches_reference", "bool", "higher",
+                   matches ? 1.0 : 0.0, {});
+  }
+}
+BENCHMARK(BM_Crc32)
+    ->Iterations(bench::BenchFast() ? 5 : 20)
+    ->Unit(benchmark::kMillisecond);
 
 // Shared CSV for the checkpoint-overhead rows (one per write cadence).
 util::CsvWriter& CheckpointOverheadCsv() {

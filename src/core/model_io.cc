@@ -22,10 +22,13 @@
 //    D-Step head), with every payload 64-byte aligned so
 //    serve::ServableModel::Open can answer d(u, v) zero-copy off the
 //    mapping without the training network or any deserialization pass.
-//    Written with the same atomic temp+fsync+rename primitive.
+//    Streamed from the model's own buffers (no file image is built) with
+//    the same atomic temp+fsync+rename primitive.
 
 #include <array>
 #include <cstring>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +40,10 @@ namespace deepdirect::core {
 namespace {
 
 constexpr std::array<char, 4> kModelMagic{'D', 'D', 'M', '2'};
+
+std::string_view AsBytes(const void* data, size_t size) {
+  return {static_cast<const char*>(data), size};
+}
 
 struct ModelMeta {
   uint64_t num_arcs = 0;
@@ -72,77 +79,66 @@ util::Status DeepDirectModel::ExportServable(const std::string& path) const {
   }
   namespace fmt = servable;
 
-  // Flatten the tie index into the CSR arrays the format stores. The
-  // public Neighbors()/Degree() views reproduce the index's own adjacency
-  // arena exactly (sorted destinations grouped by source).
-  const size_t num_nodes = index_.num_nodes();
-  const size_t num_arcs = index_.num_arcs();
-  std::vector<uint64_t> offsets(num_nodes + 1, 0);
-  std::vector<uint32_t> adj;
-  adj.reserve(num_arcs);
-  for (graph::NodeId u = 0; u < num_nodes; ++u) {
-    offsets[u + 1] = offsets[u] + index_.Degree(u);
-    for (graph::NodeId v : index_.Neighbors(u)) adj.push_back(v);
-  }
+  // The tie index's own CSR arena is the format's offsets/adj payload
+  // byte for byte (sorted destinations grouped by source), so every
+  // payload streams straight from the model's buffers.
+  static_assert(sizeof(size_t) == sizeof(uint64_t) &&
+                sizeof(graph::NodeId) == sizeof(uint32_t));
+  const std::span<const size_t> offsets = index_.Offsets();
+  const std::span<const graph::NodeId> adj = index_.Adjacency();
 
   fmt::Meta meta{};
-  meta.num_nodes = num_nodes;
-  meta.num_arcs = num_arcs;
+  meta.num_nodes = index_.num_nodes();
+  meta.num_arcs = index_.num_arcs();
   meta.dimensions = embeddings_.cols();
   meta.arc_hash = HashTieIndex(index_);
   const std::vector<double>& weights = d_step_.weights();
   const double bias = d_step_.bias();
 
-  struct Payload {
-    const char* name;
-    const void* data;
-    uint64_t size;
-  };
-  const Payload payloads[fmt::kSectionCount] = {
-      {fmt::kSectionMeta, &meta, sizeof(meta)},
-      {fmt::kSectionOffsets, offsets.data(), offsets.size() * sizeof(uint64_t)},
-      {fmt::kSectionAdj, adj.data(), adj.size() * sizeof(uint32_t)},
-      {fmt::kSectionEmbeddings, embeddings_.data().data(),
-       embeddings_.data().size() * sizeof(float)},
-      {fmt::kSectionDStepW, weights.data(), weights.size() * sizeof(double)},
-      {fmt::kSectionDStepB, &bias, sizeof(bias)},
+  const std::string_view payloads[fmt::kSectionCount] = {
+      AsBytes(&meta, sizeof(meta)),
+      AsBytes(offsets.data(), offsets.size_bytes()),
+      AsBytes(adj.data(), adj.size_bytes()),
+      AsBytes(embeddings_.data().data(),
+              embeddings_.data().size() * sizeof(float)),
+      AsBytes(weights.data(), weights.size() * sizeof(double)),
+      AsBytes(&bias, sizeof(bias)),
   };
 
-  // Lay out: header, table, then each payload at the next aligned offset.
-  fmt::SectionEntry table[fmt::kSectionCount] = {};
-  uint64_t cursor =
-      sizeof(fmt::Header) + fmt::kSectionCount * sizeof(fmt::SectionEntry);
+  // Lay out header + table, then each payload at the next aligned offset,
+  // preceded by its zero gap (the reader verifies gaps are zero bytes, so
+  // every byte of the file is covered by a check).
+  struct HeaderAndTable {
+    fmt::Header header;
+    fmt::SectionEntry table[fmt::kSectionCount];
+  } head{};
+  static_assert(sizeof(HeaderAndTable) ==
+                sizeof(fmt::Header) +
+                    fmt::kSectionCount * sizeof(fmt::SectionEntry));
+  static constexpr char kZeros[fmt::kAlignment] = {};
+  std::vector<std::string_view> pieces;
+  pieces.reserve(1 + 2 * fmt::kSectionCount);
+  pieces.push_back(AsBytes(&head, sizeof(head)));
+  uint64_t cursor = sizeof(head);
   for (size_t s = 0; s < fmt::kSectionCount; ++s) {
-    cursor = fmt::AlignUp(cursor);
-    std::strncpy(table[s].name, payloads[s].name,
+    const uint64_t offset = fmt::AlignUp(cursor);
+    pieces.emplace_back(kZeros, offset - cursor);
+    pieces.push_back(payloads[s]);
+    fmt::SectionEntry& entry = head.table[s];
+    std::strncpy(entry.name, fmt::kSectionOrder[s],
                  fmt::kSectionNameSize - 1);
-    table[s].offset = cursor;
-    table[s].size = payloads[s].size;
-    table[s].crc = train::Crc32(payloads[s].data, payloads[s].size);
-    cursor += payloads[s].size;
+    entry.offset = offset;
+    entry.size = payloads[s].size();
+    entry.crc = train::Crc32(payloads[s].data(), payloads[s].size());
+    cursor = offset + payloads[s].size();
   }
 
-  fmt::Header header{};
-  std::memcpy(header.magic, fmt::kMagic.data(), fmt::kMagic.size());
-  header.version = fmt::kVersion;
-  header.section_count = fmt::kSectionCount;
-  header.file_size = cursor;
-
-  // Assemble the image zero-filled, so alignment gaps are zero bytes (the
-  // reader verifies this — every byte of the file is then covered by a
-  // check), then patch in the meta CRC over header + table.
-  std::string bytes(cursor, '\0');
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  std::memcpy(bytes.data() + sizeof(header), table, sizeof(table));
-  for (size_t s = 0; s < fmt::kSectionCount; ++s) {
-    std::memcpy(bytes.data() + table[s].offset, payloads[s].data,
-                payloads[s].size);
-  }
-  const uint32_t meta_crc = train::Crc32(
-      bytes.data(), sizeof(fmt::Header) + sizeof(table));
-  std::memcpy(bytes.data() + offsetof(fmt::Header, meta_crc), &meta_crc,
-              sizeof(meta_crc));
-  return train::AtomicWriteFile(path, bytes);
+  std::memcpy(head.header.magic, fmt::kMagic.data(), fmt::kMagic.size());
+  head.header.version = fmt::kVersion;
+  head.header.section_count = fmt::kSectionCount;
+  head.header.file_size = cursor;
+  head.header.meta_crc = train::Crc32(&head, sizeof(head));
+  return train::AtomicWriteFile(path, pieces);
 }
 
 util::Result<std::unique_ptr<DeepDirectModel>> DeepDirectModel::Load(

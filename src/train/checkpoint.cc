@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -38,16 +39,6 @@ mode_t ProcessUmask() {
     }
   }
   return 022;
-}
-
-void AppendBytes(std::string& out, const void* data, size_t size) {
-  out.append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void AppendPod(std::string& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AppendBytes(out, &value, sizeof(T));
 }
 
 /// Bounds-checked cursor over an in-memory container image. Every read
@@ -116,24 +107,62 @@ void WarnSkip(const std::string& path, const util::Status& status) {
             << "\n";
 }
 
+// Slicing-by-16 (Intel's slicing-by-8 widened to 16 bytes per round):
+// table k maps a byte to its CRC contribution after k further zero bytes,
+// so one round folds 16 input bytes with 16 independent lookups instead of
+// a 16-long dependency chain. The word loads read bytes in memory order
+// only on a little-endian host, as the raw-POD container formats already
+// assume.
+static_assert(std::endian::native == std::endian::little,
+              "Crc32Update's word loads assume a little-endian host");
+
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+inline uint32_t LoadWord(const unsigned char* p) {
+  uint32_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const unsigned char*>(data);
+  const Crc32Tables& t = kCrc32Tables;
+  const auto* p = static_cast<const unsigned char*>(data);
   crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 16; p += 16, size -= 16) {
+    const uint32_t a = LoadWord(p) ^ crc;
+    const uint32_t b = LoadWord(p + 4);
+    const uint32_t c = LoadWord(p + 8);
+    const uint32_t d = LoadWord(p + 12);
+    crc = t[15][a & 0xFF] ^ t[14][(a >> 8) & 0xFF] ^ t[13][(a >> 16) & 0xFF] ^
+          t[12][a >> 24] ^ t[11][b & 0xFF] ^ t[10][(b >> 8) & 0xFF] ^
+          t[9][(b >> 16) & 0xFF] ^ t[8][b >> 24] ^ t[7][c & 0xFF] ^
+          t[6][(c >> 8) & 0xFF] ^ t[5][(c >> 16) & 0xFF] ^ t[4][c >> 24] ^
+          t[3][d & 0xFF] ^ t[2][(d >> 8) & 0xFF] ^ t[1][(d >> 16) & 0xFF] ^
+          t[0][d >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -143,7 +172,7 @@ uint32_t Crc32(const void* data, size_t size) {
 }
 
 util::Status AtomicWriteFile(const std::string& path,
-                             std::string_view bytes) {
+                             std::span<const std::string_view> pieces) {
   const fs::path target(path);
   const fs::path dir =
       target.has_parent_path() ? target.parent_path() : fs::path(".");
@@ -166,11 +195,13 @@ util::Status AtomicWriteFile(const std::string& path,
   // mkstemp creates 0600; give the published file the mode a plain create
   // would have had.
   if (::fchmod(fd, 0666 & ~ProcessUmask()) != 0) return fail("chmod");
-  for (size_t done = 0; done < bytes.size();) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return fail("short write to");
-    done += static_cast<size_t>(n);
+  for (const std::string_view bytes : pieces) {
+    for (size_t done = 0; done < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return fail("short write to");
+      done += static_cast<size_t>(n);
+    }
   }
   // Flush file data to stable storage before the rename publishes it; a
   // rename that survives a crash must never point at unflushed data.
@@ -207,31 +238,58 @@ void CheckpointWriter::AddSection(std::string_view name, const void* data,
   }
   Section section;
   section.name = std::string(name);
-  section.payload.assign(static_cast<const char*>(data), size);
+  section.data = static_cast<const char*>(data);
+  section.size = size;
+  const uint32_t name_size = static_cast<uint32_t>(name.size());
+  const uint64_t payload_size = size;
+  section.head.append(reinterpret_cast<const char*>(&name_size),
+                      sizeof(name_size));
+  section.head.append(name);
+  section.head.append(reinterpret_cast<const char*>(&payload_size),
+                      sizeof(payload_size));
   sections_.push_back(std::move(section));
 }
 
-std::string CheckpointWriter::Serialize() const {
-  std::string out;
-  AppendBytes(out, magic_.data(), magic_.size());
-  AppendPod(out, kFormatVersion);
-  AppendPod(out, static_cast<uint64_t>(sections_.size()));
-  AppendPod(out, Crc32(out.data(), out.size()));
+uint64_t CheckpointWriter::ByteSize() const {
+  uint64_t size = header_.size() + kFooterMagic.size();
   for (const Section& section : sections_) {
-    const size_t section_start = out.size();
-    AppendPod(out, static_cast<uint32_t>(section.name.size()));
-    AppendBytes(out, section.name.data(), section.name.size());
-    AppendPod(out, static_cast<uint64_t>(section.payload.size()));
-    AppendBytes(out, section.payload.data(), section.payload.size());
-    AppendPod(out, Crc32(out.data() + section_start,
-                         out.size() - section_start));
+    size += section.head.size() + section.size + sizeof(section.crc);
   }
-  AppendBytes(out, kFooterMagic.data(), kFooterMagic.size());
+  return size;
+}
+
+std::vector<std::string_view> CheckpointWriter::Pieces() {
+  const uint64_t count = sections_.size();
+  std::memcpy(header_.data(), magic_.data(), magic_.size());
+  std::memcpy(header_.data() + 4, &kFormatVersion, sizeof(kFormatVersion));
+  std::memcpy(header_.data() + 8, &count, sizeof(count));
+  const uint32_t header_crc = Crc32(header_.data(), 16);
+  std::memcpy(header_.data() + 16, &header_crc, sizeof(header_crc));
+
+  std::vector<std::string_view> pieces;
+  pieces.reserve(3 * sections_.size() + 2);
+  pieces.emplace_back(header_.data(), header_.size());
+  for (Section& section : sections_) {
+    section.crc = Crc32Update(Crc32(section.head.data(), section.head.size()),
+                              section.data, section.size);
+    pieces.emplace_back(section.head);
+    pieces.emplace_back(section.data, section.size);
+    pieces.emplace_back(reinterpret_cast<const char*>(&section.crc),
+                        sizeof(section.crc));
+  }
+  pieces.emplace_back(kFooterMagic.data(), kFooterMagic.size());
+  return pieces;
+}
+
+std::string CheckpointWriter::Serialize() {
+  std::string out;
+  out.reserve(ByteSize());
+  for (const std::string_view piece : Pieces()) out.append(piece);
   return out;
 }
 
-util::Status CheckpointWriter::WriteAtomic(const std::string& path) const {
-  return AtomicWriteFile(path, Serialize());
+util::Status CheckpointWriter::WriteAtomic(const std::string& path) {
+  return AtomicWriteFile(path, Pieces());
 }
 
 util::Result<CheckpointData> CheckpointData::Parse(
@@ -435,6 +493,8 @@ uint64_t Checkpointer::Resume(util::Rng& rng) {
 
 void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
   obs::TraceSpan span("checkpoint.write");
+  // Times the whole write: sections, CRCs, streaming, fsync and publish.
+  util::Timer write_timer;
   CheckpointWriter writer;
   CheckpointMeta meta;
   meta.epochs_done = end.epoch + 1;
@@ -454,10 +514,7 @@ void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
 
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
-  const std::string serialized = writer.Serialize();
-  util::Timer write_timer;
-  const util::Status status =
-      AtomicWriteFile(PathFor(meta.epochs_done), serialized);
+  const util::Status status = writer.WriteAtomic(PathFor(meta.epochs_done));
   if (!status.ok()) {
     // Losing one checkpoint must not kill a multi-hour run.
     std::cerr << "[checkpoint] write failed: " << status.ToString() << "\n";
@@ -466,7 +523,7 @@ void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
   if (obs::Enabled()) {
     obs::Registry& registry = obs::Registry::Default();
     registry.GetCounter("checkpoint.writes")->Add(1);
-    registry.GetCounter("checkpoint.bytes")->Add(serialized.size());
+    registry.GetCounter("checkpoint.bytes")->Add(writer.ByteSize());
     registry.GetHistogram("checkpoint.write_seconds")
         ->Observe(write_timer.ElapsedSeconds());
   }

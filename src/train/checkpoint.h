@@ -3,13 +3,14 @@
 // A checkpoint is a versioned, sectioned binary container: every section is
 // a (name, payload) pair protected by a CRC32 over its serialized bytes,
 // the header carries its own CRC, and the file ends in a footer magic. The
-// container is written atomically — serialized to a temp file in the target
-// directory, flushed, fsync'ed, renamed over the destination, directory
-// fsync'ed — so a crash at any byte leaves either the old file or the new
-// one, never a truncated hybrid. Readers validate everything before
-// exposing any byte: any truncation or bit flip yields a Status error
-// anchored to the failing offset or section, never a crash or a
-// silently-wrong parse.
+// container is written atomically — streamed to a temp file in the target
+// directory, fsync'ed, renamed over the destination, directory fsync'ed —
+// so a crash at any byte leaves either the old file or the new one, never
+// a truncated hybrid. The writer borrows section payloads and streams them
+// straight from the caller's buffers; no whole-file image is assembled.
+// Readers validate everything before exposing any byte: any truncation or
+// bit flip yields a Status error anchored to the failing offset or
+// section, never a crash or a silently-wrong parse.
 //
 // On top of the container, Checkpointer snapshots SGD state at epoch
 // boundaries: the engine-owned part (epoch/step counters, run shape, the
@@ -37,6 +38,8 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -54,54 +57,89 @@ namespace deepdirect::train {
 inline constexpr std::array<char, 4> kCheckpointMagic{'D', 'D', 'C', 'K'};
 
 /// CRC32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes at `data`.
+/// Every container in the repo (DDCK/DDM2, DDS1, DDSH) checksums through
+/// this one slicing-by-16 implementation.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Incremental CRC32: feed `Crc32Update` successive chunks starting from 0.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
-/// Atomically replaces `path` with `bytes`: writes a unique mkstemp temp
-/// file (`path`.tmp.XXXXXX) in the same directory, fsyncs it, renames it
-/// over `path`, and fsyncs the directory. A crash at any point leaves
-/// either the old file or the new one; concurrent writers to one path each
-/// publish a complete file (the last rename wins) and leave no temp behind.
+/// Atomically replaces `path` with the concatenation of `pieces`, written
+/// in order: writes a unique mkstemp temp file (`path`.tmp.XXXXXX) in the
+/// same directory, fsyncs it, renames it over `path`, and fsyncs the
+/// directory. A crash at any point leaves either the old file or the new
+/// one; concurrent writers to one path each publish a complete file (the
+/// last rename wins) and leave no temp behind.
 util::Status AtomicWriteFile(const std::string& path,
-                             std::string_view bytes);
+                             std::span<const std::string_view> pieces);
+
+/// One-piece form of the above.
+inline util::Status AtomicWriteFile(const std::string& path,
+                                    std::string_view bytes) {
+  return AtomicWriteFile(path, std::span<const std::string_view>(&bytes, 1));
+}
 
 /// Builds one checkpoint container section by section.
+///
+/// Borrow contract: AddSection/AddVector record a view of the caller's
+/// bytes, which must stay alive and unchanged until WriteAtomic (or
+/// Serialize) returns; AddPod copies its value. Section CRCs are computed
+/// while writing, over the same bytes that are written.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::array<char, 4> magic = kCheckpointMagic)
       : magic_(magic) {}
 
-  /// Appends a raw section. Names must be unique, non-empty, < 256 bytes.
+  /// Appends a raw section (borrowed). Names must be unique, non-empty,
+  /// < 256 bytes.
   void AddSection(std::string_view name, const void* data, size_t size);
 
-  /// Appends a trivially-copyable value as a section.
+  /// Appends a trivially-copyable value as a section (copied).
   template <typename T>
   void AddPod(std::string_view name, const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    AddSection(name, &value, sizeof(T));
+    auto copy = std::make_unique<char[]>(sizeof(T));
+    std::memcpy(copy.get(), &value, sizeof(T));
+    AddSection(name, copy.get(), sizeof(T));
+    sections_.back().owned = std::move(copy);
   }
 
-  /// Appends a vector of trivially-copyable elements as a section.
+  /// Appends a vector of trivially-copyable elements as a section
+  /// (borrowed).
   template <typename T>
   void AddVector(std::string_view name, const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     AddSection(name, values.data(), values.size() * sizeof(T));
   }
 
-  /// Serializes the container (header, sections with CRCs, footer).
-  std::string Serialize() const;
+  /// Size in bytes of the container image.
+  uint64_t ByteSize() const;
 
-  /// Serializes and writes atomically to `path` (see AtomicWriteFile).
-  util::Status WriteAtomic(const std::string& path) const;
+  /// The container image (header, sections with CRCs, footer) as one
+  /// string: the concatenation of the pieces WriteAtomic streams.
+  std::string Serialize();
+
+  /// Streams the container atomically to `path` (see AtomicWriteFile).
+  util::Status WriteAtomic(const std::string& path);
 
  private:
   struct Section {
     std::string name;
-    std::string payload;
+    const char* data = nullptr;
+    size_t size = 0;
+    std::unique_ptr<char[]> owned;  ///< AddPod's copy; `data` points here
+    /// u32 name_size | name | u64 payload_size, then the section CRC over
+    /// head + payload (filled in by Pieces()).
+    std::string head;
+    uint32_t crc = 0;
   };
+
+  /// The image in file order as views into this writer and the borrowed
+  /// payloads; stamps the header and every section CRC first.
+  std::vector<std::string_view> Pieces();
+
   std::array<char, 4> magic_;
+  std::array<char, 20> header_{};  ///< magic | version | count | CRC
   std::vector<Section> sections_;
 };
 
@@ -236,8 +274,10 @@ struct RunShape {
 /// Orchestrates checkpoint writes at epoch boundaries and resume scans.
 ///
 /// The trainer contributes its parameter state through the save callback
-/// (sections added to the writer) and restores it through the load
-/// callback. The load callback MUST be atomic: read every section into
+/// (sections added to the writer; AddSection/AddVector views must outlive
+/// the callback, since the write happens after it returns — trainer state
+/// does, a callback-local buffer does not) and restores it through the
+/// load callback. The load callback MUST be atomic: read every section into
 /// locals (ReadVector/ReadPod validate sizes), commit only after all reads
 /// succeeded — a failed load may be retried against an older checkpoint.
 /// Section names "meta", "trainer", and "rng" are reserved for the engine.

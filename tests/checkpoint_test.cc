@@ -1,5 +1,6 @@
 // Tests for the crash-safe checkpoint layer (src/train/checkpoint.{h,cc}):
-// container format round trips, the fault-injection sweeps (every
+// the CRC32 oracle against the byte-at-a-time reference, the pinned DDCK
+// image, container format round trips, the fault-injection sweeps (every
 // truncation point, single-byte corruption over the whole file), the
 // write/retention policy, resume candidate selection, and the driver-level
 // resume determinism contract on a toy trainer.
@@ -17,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "crc32_reference.h"
+#include "obs/metrics.h"
+#include "temp_dir.h"
 #include "train/checkpoint.h"
 #include "train/sgd_driver.h"
 #include "util/random.h"
@@ -27,15 +31,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Fresh scratch directory per test; removed on teardown.
+using deepdirect::testing::ReferenceCrc32;
+
+// Fresh scratch directory per test under the process's TempDir(); removed
+// on teardown.
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("ckpt_test_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name())))
-               .string();
+    dir_ = deepdirect::testing::TempPath(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -62,19 +66,22 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 }
 
 // A writer with a representative section mix: metadata-sized POD, an empty
-// payload, and a float blob.
-CheckpointWriter SampleWriter() {
-  CheckpointWriter writer;
-  const uint64_t counter = 41;
-  writer.AddPod("counter", counter);
-  writer.AddSection("empty", nullptr, 0);
-  std::vector<float> blob(37);
-  for (size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<float>(i) * 0.5f;
+// payload, and a float blob. Owns the blob its writer borrows, so the
+// writer stays valid for the sample's lifetime.
+struct SampleContainer {
+  SampleContainer() {
+    for (size_t i = 0; i < blob.size(); ++i) {
+      blob[i] = static_cast<float>(i) * 0.5f;
+    }
+    const uint64_t counter = 41;
+    writer.AddPod("counter", counter);
+    writer.AddSection("empty", nullptr, 0);
+    writer.AddVector("blob", blob);
   }
-  writer.AddVector("blob", blob);
-  return writer;
-}
+
+  std::vector<float> blob = std::vector<float>(37);
+  CheckpointWriter writer;
+};
 
 TEST_F(CheckpointTest, Crc32MatchesKnownAnswer) {
   // The IEEE CRC32 check value ("123456789" -> 0xCBF43926).
@@ -87,8 +94,95 @@ TEST_F(CheckpointTest, Crc32MatchesKnownAnswer) {
   EXPECT_EQ(crc, 0xCBF43926u);
 }
 
+std::vector<unsigned char> RandomBytes(size_t size, uint64_t seed) {
+  std::vector<unsigned char> bytes(size);
+  util::Rng rng(seed);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST_F(CheckpointTest, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..4096 at every start offset 0..15 covers each tail
+  // length of the 16-byte rounds at each load alignment.
+  const std::vector<unsigned char> buffer = RandomBytes(4096 + 16, 1);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 4096; ++length) {
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, length), ReferenceCrc32(p, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST_F(CheckpointTest, Crc32UpdateSplitsMatchOneShot) {
+  // Chaining Crc32Update over any split of a buffer must equal the
+  // one-shot CRC. Every 2-way and 3-way split of a 1 KiB buffer is
+  // checked; on 1 MiB (where all splits would cost ~1e12 bytes of CRC)
+  // every split point is drawn from the boundaries at both ends, a
+  // 4093-byte stride and the powers of two +-1.
+  const std::vector<unsigned char> small = RandomBytes(1024, 2);
+  const uint32_t small_crc = ReferenceCrc32(small.data(), small.size());
+  for (size_t a = 0; a <= small.size(); ++a) {
+    const uint32_t head = Crc32Update(0, small.data(), a);
+    ASSERT_EQ(Crc32Update(head, small.data() + a, small.size() - a),
+              small_crc)
+        << "split at " << a;
+    for (size_t b = a; b <= small.size(); ++b) {
+      const uint32_t mid = Crc32Update(head, small.data() + a, b - a);
+      ASSERT_EQ(Crc32Update(mid, small.data() + b, small.size() - b),
+                small_crc)
+          << "splits at " << a << ", " << b;
+    }
+  }
+
+  constexpr size_t kSize = size_t{1} << 20;
+  const std::vector<unsigned char> big = RandomBytes(kSize, 3);
+  const uint32_t big_crc = ReferenceCrc32(big.data(), big.size());
+  std::vector<size_t> cuts;
+  for (size_t k = 0; k <= 33; ++k) {
+    cuts.push_back(k);
+    cuts.push_back(kSize - k);
+  }
+  for (size_t k = 4093; k < kSize; k += 4093) cuts.push_back(k);
+  for (size_t p = 2; p < kSize; p <<= 1) {
+    cuts.insert(cuts.end(), {p - 1, p, p + 1});
+  }
+  for (size_t a : cuts) {
+    const uint32_t head = Crc32Update(0, big.data(), a);
+    ASSERT_EQ(Crc32Update(head, big.data() + a, kSize - a), big_crc)
+        << "split at " << a;
+  }
+  // 3-way: pairs of the boundary and power-of-two points.
+  std::vector<size_t> points;
+  for (size_t k = 0; k <= 8; ++k) points.insert(points.end(), {k, kSize - k});
+  for (size_t p = 32; p < kSize; p <<= 2) {
+    points.insert(points.end(), {p - 1, p + 1});
+  }
+  for (size_t a : points) {
+    const uint32_t head = Crc32Update(0, big.data(), a);
+    for (size_t b : points) {
+      if (b < a) continue;
+      const uint32_t mid = Crc32Update(head, big.data() + a, b - a);
+      ASSERT_EQ(Crc32Update(mid, big.data() + b, kSize - b), big_crc)
+          << "splits at " << a << ", " << b;
+    }
+  }
+}
+
+TEST_F(CheckpointTest, SampleContainerBytesArePinned) {
+  // The streamed writer must produce the exact image the copying writer
+  // did: size and whole-file CRC (reference loop) recorded from it.
+  const std::string bytes = SampleContainer().writer.Serialize();
+  EXPECT_EQ(bytes.size(), 244u);
+  EXPECT_EQ(ReferenceCrc32(bytes.data(), bytes.size()), 0x34B10238u);
+  // WriteAtomic streams the same pieces Serialize concatenates.
+  const std::string path = Path("pinned.ckpt");
+  ASSERT_TRUE(SampleContainer().writer.WriteAtomic(path).ok());
+  EXPECT_EQ(ReadFile(path), bytes);
+}
+
 TEST_F(CheckpointTest, ContainerRoundTripsAllSectionKinds) {
-  const std::string bytes = SampleWriter().Serialize();
+  const std::string bytes = SampleContainer().writer.Serialize();
   auto parsed = CheckpointData::Parse(bytes, "test");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const CheckpointData& data = parsed.value();
@@ -111,7 +205,7 @@ TEST_F(CheckpointTest, ContainerRoundTripsAllSectionKinds) {
 }
 
 TEST_F(CheckpointTest, TypedReadsRejectSizeMismatches) {
-  const std::string bytes = SampleWriter().Serialize();
+  const std::string bytes = SampleContainer().writer.Serialize();
   auto parsed = CheckpointData::Parse(bytes, "test");
   ASSERT_TRUE(parsed.ok());
 
@@ -128,7 +222,7 @@ TEST_F(CheckpointTest, TypedReadsRejectSizeMismatches) {
 
 TEST_F(CheckpointTest, WriteAtomicLeavesNoTempFile) {
   const std::string path = Path("atomic.ckpt");
-  ASSERT_TRUE(SampleWriter().WriteAtomic(path).ok());
+  ASSERT_TRUE(SampleContainer().writer.WriteAtomic(path).ok());
   EXPECT_TRUE(fs::exists(path));
   EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
                           fs::directory_iterator()),
@@ -185,7 +279,7 @@ TEST_F(CheckpointTest, ReadOfMissingFileIsIOError) {
 // prefix. Every prefix (including the empty file) must parse as a clean
 // error — never crash, never succeed.
 TEST_F(CheckpointTest, EveryTruncationPointIsRejected) {
-  const std::string bytes = SampleWriter().Serialize();
+  const std::string bytes = SampleContainer().writer.Serialize();
   for (size_t k = 0; k < bytes.size(); ++k) {
     auto parsed = CheckpointData::Parse(bytes.substr(0, k), "trunc");
     EXPECT_FALSE(parsed.ok()) << "prefix of " << k << " bytes parsed";
@@ -197,7 +291,7 @@ TEST_F(CheckpointTest, EveryTruncationPointIsRejected) {
 // The bit-rot sweep: flipping any single byte anywhere — header, section
 // name, size fields, payload, CRCs, footer — must be detected.
 TEST_F(CheckpointTest, EverySingleByteCorruptionIsRejected) {
-  const std::string bytes = SampleWriter().Serialize();
+  const std::string bytes = SampleContainer().writer.Serialize();
   for (size_t k = 0; k < bytes.size(); ++k) {
     std::string corrupted = bytes;
     corrupted[k] = static_cast<char>(corrupted[k] ^ 0x5A);
@@ -393,6 +487,31 @@ TEST_F(CheckpointTest, StopAfterEpochsSimulatesPreemption) {
   EXPECT_EQ(state, 1u + 2u + 3u + 4u);
   EXPECT_EQ(ckpt.ListCheckpoints().front(), ckpt.PathFor(4));
 }
+
+#if DEEPDIRECT_OBS
+TEST_F(CheckpointTest, WriteMetricsCoverTheWholeImage) {
+  // checkpoint.bytes is the published file's size; write_seconds records
+  // one sample per write, timed from the first section to the rename.
+  obs::Registry& registry = obs::Registry::Default();
+  registry.Reset();
+  registry.set_enabled(true);
+  CheckpointOptions options = ToyOptions(dir_);
+  uint64_t state = 0;
+  util::Rng rng(1);
+  Checkpointer ckpt(ToyCheckpointer(options, &state));
+  DriveEpochs(ckpt, &state, rng, 0, 1);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  registry.set_enabled(false);
+  registry.Reset();
+
+  EXPECT_EQ(snapshot.counters.at("checkpoint.writes"), 1u);
+  EXPECT_EQ(snapshot.counters.at("checkpoint.bytes"),
+            fs::file_size(ckpt.PathFor(1)));
+  const auto& seconds = snapshot.histograms.at("checkpoint.write_seconds");
+  EXPECT_EQ(seconds.count, 1u);
+  EXPECT_GT(seconds.max, 0.0);
+}
+#endif  // DEEPDIRECT_OBS
 
 // --- Driver-level resume determinism on a toy trainer ------------------
 

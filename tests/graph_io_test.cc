@@ -9,6 +9,7 @@
 #include "data/generators.h"
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
+#include "temp_dir.h"
 
 namespace deepdirect::graph {
 namespace {
@@ -44,7 +45,7 @@ TEST(GraphIoTest, RoundTripThroughFile) {
   config.seed = 3;
   const auto original = data::GenerateStatusNetwork(config);
 
-  const std::string path = "/tmp/deepdirect_io_test.edges";
+  const std::string path = deepdirect::testing::TempPath("io_test.edges");
   ASSERT_TRUE(SaveEdgeList(original, path).ok());
   auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok());
@@ -183,7 +184,8 @@ TEST(GraphIoTest, FileSizeReserveHintBoundsReallocations) {
   gen.ties_per_node = 4.0;
   gen.seed = 21;
   const auto net = data::GenerateStatusNetwork(gen);
-  const std::string path = "/tmp/deepdirect_graphio_realloc.edges";
+  const std::string path =
+      deepdirect::testing::TempPath("graphio_realloc.edges");
   ASSERT_TRUE(SaveEdgeList(net, path).ok());
 
   obs::Registry& registry = obs::Registry::Default();

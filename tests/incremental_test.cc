@@ -23,6 +23,7 @@
 #include "data/generators.h"
 #include "graph/algorithms.h"
 #include "graph/mixed_graph.h"
+#include "temp_dir.h"
 #include "train/incremental.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -133,12 +134,8 @@ IncrementalUpdate ApplyAll(MixedSocialNetwork base, train::EStepState state,
 class IncrementalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("incremental_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
+    dir_ = deepdirect::testing::TempPath(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

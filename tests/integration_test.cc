@@ -15,6 +15,7 @@
 #include "graph/graph_io.h"
 #include "ml/dataset.h"
 #include "ml/mlp.h"
+#include "temp_dir.h"
 #include "util/timer.h"
 
 namespace deepdirect {
@@ -81,7 +82,7 @@ TEST(IntegrationTest, SaveLoadTrainRoundTrip) {
   util::Rng rng(7);
   const auto split = graph::HideDirections(net, 0.4, rng);
 
-  const std::string path = "/tmp/deepdirect_integration.edges";
+  const std::string path = testing::TempPath("integration.edges");
   ASSERT_TRUE(graph::SaveEdgeList(split.network, path).ok());
   auto loaded = graph::LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok());

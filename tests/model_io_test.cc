@@ -4,14 +4,21 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/applications.h"
 #include "core/deepdirect.h"
+#include "crc32_reference.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
+#include "kernels/dispatch.h"
+#include "temp_dir.h"
 
 namespace deepdirect::core {
 namespace {
+
+using deepdirect::testing::TempPath;
 
 graph::HiddenDirectionSplit MakeSplit(uint64_t seed = 5) {
   data::GeneratorConfig gen;
@@ -33,7 +40,7 @@ DeepDirectConfig TinyConfig() {
 TEST(ModelIoTest, SaveLoadRoundTripPredictionsIdentical) {
   const auto split = MakeSplit();
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_test.ddm";
+  const std::string path = TempPath("model_test.ddm");
   ASSERT_TRUE(model->Save(path).ok());
 
   auto loaded = DeepDirectModel::Load(path, split.network);
@@ -56,7 +63,7 @@ TEST(ModelIoTest, RejectsWrongNetwork) {
   const auto split = MakeSplit(5);
   const auto other_split = MakeSplit(99);
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_wrongnet.ddm";
+  const std::string path = TempPath("model_wrongnet.ddm");
   ASSERT_TRUE(model->Save(path).ok());
   auto loaded = DeepDirectModel::Load(path, other_split.network);
   EXPECT_FALSE(loaded.ok());
@@ -65,7 +72,7 @@ TEST(ModelIoTest, RejectsWrongNetwork) {
 }
 
 TEST(ModelIoTest, RejectsGarbageFile) {
-  const std::string path = "/tmp/deepdirect_model_garbage.ddm";
+  const std::string path = TempPath("model_garbage.ddm");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a model";
@@ -79,7 +86,7 @@ TEST(ModelIoTest, RejectsGarbageFile) {
 TEST(ModelIoTest, RejectsTruncatedFile) {
   const auto split = MakeSplit();
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_trunc.ddm";
+  const std::string path = TempPath("model_trunc.ddm");
   ASSERT_TRUE(model->Save(path).ok());
   // Truncate to half.
   {
@@ -109,7 +116,7 @@ TEST(ModelIoTest, PartialWriteSweepNeverLoads) {
   // Load — cleanly, without crashing or accepting a half-written model.
   const auto split = MakeSplit();
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_partial.ddm";
+  const std::string path = TempPath("model_partial.ddm");
   ASSERT_TRUE(model->Save(path).ok());
   std::string contents;
   {
@@ -140,7 +147,7 @@ TEST(ModelIoTest, SaveIsAtomicOverAnExistingModel) {
   // and the destination is the new, fully valid model.
   const auto split = MakeSplit();
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_atomic.ddm";
+  const std::string path = TempPath("model_atomic.ddm");
   ASSERT_TRUE(model->Save(path).ok());
   ASSERT_TRUE(model->Save(path).ok());  // overwrite the existing file
   std::ifstream tmp(path + ".tmp");
@@ -156,7 +163,7 @@ TEST(ModelIoTest, SingleByteCorruptionSweepNeverLoads) {
   // file; every flip must be caught by a section or header CRC.
   const auto split = MakeSplit();
   const auto model = DeepDirectModel::Train(split.network, TinyConfig());
-  const std::string path = "/tmp/deepdirect_model_flip.ddm";
+  const std::string path = TempPath("model_flip.ddm");
   ASSERT_TRUE(model->Save(path).ok());
   std::string contents;
   {
@@ -178,12 +185,47 @@ TEST(ModelIoTest, SingleByteCorruptionSweepNeverLoads) {
   std::remove(path.c_str());
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(ModelIoTest, SavedAndExportedBytesArePinned) {
+  // A tiny seeded single-threaded model on the exact scalar kernel path:
+  // its DDM2 and DDS1 files are pinned by size and whole-file CRC
+  // (reference loop) as the format had them before writes were streamed,
+  // so a changed byte anywhere fails the pin.
+  const kernels::Mode mode = kernels::CurrentMode();
+  kernels::SetMode(kernels::Mode::kScalar);
+  const auto split = MakeSplit(7);
+  DeepDirectConfig config = TinyConfig();
+  config.dimensions = 8;
+  config.epochs = 1.0;
+  const auto model = DeepDirectModel::Train(split.network, config);
+  kernels::SetMode(mode);
+
+  const std::string saved = TempPath("pinned.ddm");
+  ASSERT_TRUE(model->Save(saved).ok());
+  const std::string ddm2 = ReadFile(saved);
+  EXPECT_EQ(ddm2.size(), 52494u);
+  EXPECT_EQ(deepdirect::testing::ReferenceCrc32(ddm2.data(), ddm2.size()),
+            0x69D3C7FBu);
+
+  const std::string exported = TempPath("pinned.dds");
+  ASSERT_TRUE(model->ExportServable(exported).ok());
+  const std::string dds1 = ReadFile(exported);
+  EXPECT_EQ(dds1.size(), 61192u);
+  EXPECT_EQ(deepdirect::testing::ReferenceCrc32(dds1.data(), dds1.size()),
+            0xA3F74819u);
+}
+
 TEST(ModelIoTest, MlpHeadIsNotSerializable) {
   const auto split = MakeSplit();
   auto config = TinyConfig();
   config.d_step_head = DStepHead::kMlp;
   const auto model = DeepDirectModel::Train(split.network, config);
-  const auto status = model->Save("/tmp/deepdirect_model_mlp.ddm");
+  const auto status = model->Save(TempPath("model_mlp.ddm"));
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
 }

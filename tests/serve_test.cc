@@ -24,10 +24,13 @@
 #include "serve/servable_model.h"
 #include "serve/server.h"
 #include "serve/tie_cache.h"
+#include "temp_dir.h"
 #include "util/random.h"
 
 namespace deepdirect::serve {
 namespace {
+
+using deepdirect::testing::TempPath;
 
 namespace fmt = core::servable;
 
@@ -73,7 +76,7 @@ Exported Train(size_t num_nodes, size_t dimensions, double epochs,
 /// only reads it.
 const Exported& Parity() {
   static const Exported* cached =
-      new Exported(Train(120, 8, 2.0, "/tmp/deepdirect_serve_parity.dds"));
+      new Exported(Train(120, 8, 2.0, TempPath("serve_parity.dds")));
   return *cached;
 }
 
@@ -81,7 +84,7 @@ const Exported& Parity() {
 /// sweeps stay fast even under sanitizers.
 const Exported& Tiny() {
   static const Exported* cached =
-      new Exported(Train(60, 4, 1.0, "/tmp/deepdirect_serve_tiny.dds", 11));
+      new Exported(Train(60, 4, 1.0, TempPath("serve_tiny.dds"), 11));
   return *cached;
 }
 
@@ -329,14 +332,14 @@ TEST(ServableModelTest, MlpHeadIsNotServable) {
   config.epochs = 1.0;
   config.d_step_head = core::DStepHead::kMlp;
   const auto model = core::DeepDirectModel::Train(split.network, config);
-  const auto status = model->ExportServable("/tmp/deepdirect_serve_mlp.dds");
+  const auto status = model->ExportServable(TempPath("serve_mlp.dds"));
   EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST(ServableModelTest, TruncationSweepEveryLengthNeverOpens) {
   // A servable file cut after ANY byte count must be rejected cleanly.
   const Exported& fixture = Tiny();
-  const std::string path = "/tmp/deepdirect_serve_trunc.dds";
+  const std::string path = TempPath("serve_trunc.dds");
   ASSERT_GT(fixture.bytes.size(), 0u);
   for (size_t cut = 0; cut < fixture.bytes.size(); ++cut) {
     WriteFile(path, fixture.bytes.substr(0, cut));
@@ -353,7 +356,7 @@ TEST(ServableModelTest, CorruptionSweepEveryByteNeverOpens) {
   // by the meta CRC (header/table), a section CRC (payloads), or the
   // zero-padding check (alignment gaps) — no byte is uncovered.
   const Exported& fixture = Tiny();
-  const std::string path = "/tmp/deepdirect_serve_flip.dds";
+  const std::string path = TempPath("serve_flip.dds");
   for (size_t k = 0; k < fixture.bytes.size(); ++k) {
     std::string corrupted = fixture.bytes;
     corrupted[k] = static_cast<char>(corrupted[k] ^ 0x5A);
@@ -517,7 +520,7 @@ TEST(TieCacheStatsTest, HitsPlusMissesEqualsLookupsUnderHammer) {
 }
 
 TEST(MmapRwFileTest, CreateWriteSyncReopenRoundTrip) {
-  const std::string path = "/tmp/deepdirect_mmap_rw_test.bin";
+  const std::string path = TempPath("mmap_rw_test.bin");
   std::remove(path.c_str());
   constexpr uint64_t kSize = 1 << 20;
   {
@@ -562,7 +565,7 @@ TEST(MmapRwFileTest, CreateWriteSyncReopenRoundTrip) {
 }
 
 TEST(MmapRwFileTest, MissingFileReportsIOErrorNotResourceExhausted) {
-  auto opened = MmapRwFile::Open("/tmp/deepdirect_mmap_rw_nonexistent");
+  auto opened = MmapRwFile::Open(TempPath("mmap_rw_nonexistent"));
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), util::StatusCode::kIOError);
 }

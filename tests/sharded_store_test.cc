@@ -1,12 +1,12 @@
 // Tests for out-of-core training: the DDSH shard store round-trip,
 // every-length truncation and every-byte corruption sweeps over a sealed
-// store, the bit-identity goldens (sharded nt=1 vs in-RAM, 1 shard vs 4
-// shards, tiny-budget eviction churn), block-granular residency (admission
-// rate and budget fill, concurrent admission accounting, a budget below
-// one block), and the shard-affine Hogwild path.
+// store, a byte pin of one sealed shard file, the bit-identity goldens
+// (sharded nt=1 vs in-RAM, 1 shard vs 4 shards, tiny-budget eviction
+// churn), block-granular residency (admission rate and budget fill,
+// concurrent admission accounting, a budget below one block), and the
+// shard-affine Hogwild path.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,10 +23,13 @@
 #include "core/deepdirect.h"
 #include "core/sharded_trainer.h"
 #include "core/tie_index.h"
+#include "crc32_reference.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
+#include "graph/shard_format.h"
 #include "ml/matrix.h"
 #include "obs/metrics.h"
+#include "temp_dir.h"
 #include "train/sharded_store.h"
 #include "util/random.h"
 
@@ -35,28 +38,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// This process's scratch root. ctest runs every test in its own process
-/// and in parallel, so a fixed directory name would let one process's
-/// FreshDir delete a store another process is still reading.
-const fs::path& ScratchRoot() {
-  static const fs::path root =
-      fs::temp_directory_path() /
-      ("dd_shard_test-" + std::to_string(::getpid()));
-  return root;
-}
-
-/// Removes the scratch root once every test in the process has run.
-class ScratchCleanup : public ::testing::Environment {
- public:
-  void TearDown() override { fs::remove_all(ScratchRoot()); }
-};
-[[maybe_unused]] const ::testing::Environment* const kScratchCleanup =
-    ::testing::AddGlobalTestEnvironment(new ScratchCleanup);
-
-/// A clean store directory under the scratch root (leftovers are removed
-/// so stale shard files can never satisfy an Open).
+/// A clean store directory under the process's TempDir() (leftovers are
+/// removed so stale shard files can never satisfy an Open).
 std::string FreshDir(const std::string& name) {
-  const fs::path dir = ScratchRoot() / name;
+  const fs::path dir = deepdirect::testing::TempDir() / name;
   fs::remove_all(dir);
   return dir.string();
 }
@@ -281,7 +266,7 @@ TEST(ShardedTrainerTest, RejectsUnsupportedConfigs) {
             util::StatusCode::kInvalidArgument);
 
   auto with_checkpoint = ShardedConfig(base, 2, FreshDir("dd_shard_ckpt"));
-  with_checkpoint.checkpoint.dir = "/tmp/dd_shard_ckpt_dir";
+  with_checkpoint.checkpoint.dir = FreshDir("dd_shard_ckpt_dir");
   auto checkpointed =
       ShardedDeepDirectModel::Train(split.network, with_checkpoint);
   EXPECT_FALSE(checkpointed.ok());
@@ -446,6 +431,31 @@ TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
   auto opened = train::ShardedStore::Open(options.dir, 256);
   EXPECT_FALSE(opened.ok())
       << "an unsealed (mid-training) store must not validate";
+}
+
+TEST(ShardedStoreTest, SealedShardFileBytesArePinned) {
+  // One sealed shard file of a tiny seeded store, pinned by size and
+  // whole-file CRC (reference loop) as the format had them before writes
+  // were streamed: a changed byte anywhere fails the pin.
+  const auto split = MakeSplit(60, 11);
+  const TieIndex idx(split.network);
+  const DeepDirectConfig config = BaseConfig(4, 0.5);
+  const PatternPrecompute patterns =
+      PrecomputePatterns(split.network, idx, config);
+  train::ShardedStoreOptions options;
+  options.dir = FreshDir("dd_shard_pinned");
+  options.num_shards = 2;
+  util::Rng rng(3);
+  auto created = train::ShardedStore::Create(
+      options, StoreInit(idx, patterns, config.dimensions), rng, -0.125f,
+      0.125f);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_TRUE(created.value()->Seal().ok());
+  const std::string bytes =
+      ReadFile(options.dir + "/" + graph::shard::ShardFileName(1));
+  EXPECT_EQ(bytes.size(), 7888u);
+  EXPECT_EQ(deepdirect::testing::ReferenceCrc32(bytes.data(), bytes.size()),
+            0x94AB61D8u);
 }
 
 /// A store of MakeSplit(800, 7) at l = 64 (~2.7 MB of M+N, ~45 blocks)

@@ -19,6 +19,7 @@
 #include "graph/algorithms.h"
 #include "ml/dataset.h"
 #include "ml/logistic_regression.h"
+#include "temp_dir.h"
 #include "train/checkpoint.h"
 #include "train/hogwild.h"
 #include "train/lr_schedule.h"
@@ -366,11 +367,12 @@ TEST(HogwildAccessTest, PoliciesAgreeOnRowHelpers) {
 // structure at num_threads = 4 (Hogwild interleavings are not
 // bit-reproducible, so the multi-threaded contract is over eval metrics).
 
-// Scratch checkpoint directory, wiped before and after each use.
+// Scratch checkpoint directory under the process's TempDir(), wiped
+// before and after each use.
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
+      : path_(deepdirect::testing::TempPath(name)) {
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
   }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "temp_dir.h"
 #include "util/alias_table.h"
 #include "util/csv_writer.h"
 #include "util/random.h"
@@ -246,7 +247,7 @@ TEST(AliasTableTest, UniformWeights) {
 // ------------------------------------------------------------ CsvWriter
 
 TEST(CsvWriterTest, WritesAndEscapes) {
-  const std::string path = "/tmp/deepdirect_csv_test.csv";
+  const std::string path = deepdirect::testing::TempPath("csv_test.csv");
   {
     CsvWriter csv(path);
     ASSERT_TRUE(csv.ok());
@@ -264,8 +265,9 @@ TEST(CsvWriterTest, WritesAndEscapes) {
 }
 
 TEST(CsvWriterTest, EnsureDirectoryIdempotent) {
-  EXPECT_TRUE(EnsureDirectory("/tmp/deepdirect_dir_test").ok());
-  EXPECT_TRUE(EnsureDirectory("/tmp/deepdirect_dir_test").ok());
+  const std::string dir = deepdirect::testing::TempPath("dir_test");
+  EXPECT_TRUE(EnsureDirectory(dir).ok());
+  EXPECT_TRUE(EnsureDirectory(dir).ok());
 }
 
 TEST(CsvWriterTest, BadPathReportsNotOk) {
