@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -20,9 +21,11 @@
 #include "core/applications.h"
 #include "core/deepdirect.h"
 #include "core/incremental.h"
+#include "crc32_reference.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
 #include "graph/mixed_graph.h"
+#include "kernels/dispatch.h"
 #include "temp_dir.h"
 #include "train/incremental.h"
 #include "util/random.h"
@@ -244,6 +247,50 @@ TEST_F(IncrementalTest, EmptyBatchBitIdenticalToResume) {
   EXPECT_EQ(update.state.w_prime, base.state.w_prime);
   EXPECT_EQ(update.state.tie_hash, base.state.tie_hash);
   EXPECT_EQ(update.state.epochs_done, base.state.epochs_done + 1);
+}
+
+// Absolute golden for a non-empty batch: a seeded single-threaded base run
+// and one update on the exact scalar kernel path, pinned by the size and
+// whole-file CRC (reference loop) of the updated model's DDM2 bytes and by
+// the CRCs of the chained E-step state. Unlike the empty-batch golden this
+// runs a positive E-step quota, so any change to the update's arithmetic
+// or RNG draw order fails it.
+
+template <typename T>
+uint32_t VectorCrc(const std::vector<T>& values) {
+  return deepdirect::testing::ReferenceCrc32(values.data(),
+                                             values.size() * sizeof(T));
+}
+
+TEST_F(IncrementalTest, AppliedBatchBytesArePinned) {
+  const kernels::Mode mode = kernels::CurrentMode();
+  kernels::SetMode(kernels::Mode::kScalar);
+  const auto split = SmallSplit(7);
+  DeepDirectConfig config = TestConfig();
+  config.dimensions = 8;
+  config.epochs = 1.0;
+  config.num_threads = 1;
+  TailSplit tail = SplitTail(split.network, 12, 1, 3);
+  TrainedBase base = TrainBase(tail.base, config, dir_);
+  auto updated = DeepDirectModel::ApplyTieBatch(tail.base, tail.batches[0],
+                                                base.state, config, {});
+  kernels::SetMode(mode);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  const IncrementalUpdate& update = updated.value();
+  EXPECT_EQ(update.stats.estep_steps, 8804u);
+
+  const std::string saved = Path("pinned_update.ddm");
+  ASSERT_TRUE(update.model->Save(saved).ok());
+  std::ifstream in(saved, std::ios::binary);
+  const std::string ddm2{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_EQ(ddm2.size(), 59726u);
+  EXPECT_EQ(deepdirect::testing::ReferenceCrc32(ddm2.data(), ddm2.size()),
+            0xF3E9F98Bu);
+
+  EXPECT_EQ(VectorCrc(update.state.m), 0xE0D6C8DFu);
+  EXPECT_EQ(VectorCrc(update.state.n), 0x9746A291u);
+  EXPECT_EQ(VectorCrc(update.state.w_prime), 0x6A759A4Fu);
 }
 
 // ---------------------------------------------------------------------------
