@@ -1,15 +1,19 @@
-// The E-step SGD step body (Algorithm 1, lines 12–15), shared between the
-// in-RAM trainer (core/deepdirect.cc) and the out-of-core sharded trainer
-// (core/sharded_trainer.cc).
+// The one driver behind DeepDirect's Algorithm 1: the P_c/P_n samplers,
+// the E-step SGD run and the warm-started D-step. Three entry points call
+// it and keep only what is their own: DeepDirectModel::Train (checkpoint
+// and resume), ShardedDeepDirectModel::Train (store creation, ShardPlan,
+// sealing, residency counters) and DeepDirectModel::ApplyTieBatch (splice,
+// row remap, affected arc set).
 //
-// The body is templated over a storage environment `Env` so the identical
-// float arithmetic runs against heap matrices or mmap-backed shard rows.
-// Bit-identity between the two trainers at num_threads = 1 rests on this
-// file being the single definition of the step: same kernel calls in the
-// same order, same RNG draw sequence (SampleSource → SampleConnectedTie →
-// per-negative SampleNoise), same classifier/warmup arithmetic.
+// The step body is templated over a storage environment `Env`: InRamEnv
+// (below) over heap matrices, StoreEnv (core/sharded_trainer.cc) over
+// mmap-backed shard rows. Bit-identity between the two at num_threads = 1
+// rests on this file being the single definition of the step: same kernel
+// calls in the same order, same RNG draw sequence (SampleSource →
+// SampleConnectedTie → per-negative SampleNoise), same classifier/warmup
+// arithmetic.
 //
-// Env contract (duck-typed; see InRamEnv / StoreEnv at the call sites):
+// Env contract (duck-typed):
 //   size_t num_arcs()
 //   std::span<float> MRow(size_t e), NRow(size_t e)
 //   size_t SampleSource(const train::SgdStep&, util::Rng&)  — P_c draw;
@@ -28,13 +32,23 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/deepdirect.h"
 #include "core/tie_index.h"
 #include "kernels/kernels.h"
+#include "ml/dataset.h"
+#include "ml/logistic_regression.h"
 #include "ml/matrix.h"
+#include "ml/mlp.h"
 #include "obs/metrics.h"
 #include "train/sgd_driver.h"
+#include "util/alias_table.h"
 #include "util/random.h"
 
 namespace deepdirect::core::internal {
@@ -59,28 +73,22 @@ struct alignas(64) EStepTally {
 
 inline void FlushTallies(const std::vector<EStepTally>& tallies) {
   if (!obs::Enabled()) return;
-  EStepTally total;
-  for (const EStepTally& t : tallies) {
-    total.resamples += t.resamples;
-    total.neg_collisions += t.neg_collisions;
-    total.negatives += t.negatives;
-    total.labeled += t.labeled;
-    total.degree_pattern += t.degree_pattern;
-    total.triad_pattern += t.triad_pattern;
-  }
+  static constexpr std::pair<uint64_t EStepTally::*, const char*> kCounters[] =
+      {{&EStepTally::resamples, "deepdirect.estep.sampler.resamples"},
+       {&EStepTally::neg_collisions,
+        "deepdirect.estep.sampler.negative_collisions"},
+       {&EStepTally::negatives, "deepdirect.estep.sampler.negatives_trained"},
+       {&EStepTally::labeled, "deepdirect.estep.sampler.labeled_steps"},
+       {&EStepTally::degree_pattern,
+        "deepdirect.estep.sampler.degree_pattern_steps"},
+       {&EStepTally::triad_pattern,
+        "deepdirect.estep.sampler.triad_pattern_steps"}};
   obs::Registry& registry = obs::Registry::Default();
-  registry.GetCounter("deepdirect.estep.sampler.resamples")
-      ->Add(total.resamples);
-  registry.GetCounter("deepdirect.estep.sampler.negative_collisions")
-      ->Add(total.neg_collisions);
-  registry.GetCounter("deepdirect.estep.sampler.negatives_trained")
-      ->Add(total.negatives);
-  registry.GetCounter("deepdirect.estep.sampler.labeled_steps")
-      ->Add(total.labeled);
-  registry.GetCounter("deepdirect.estep.sampler.degree_pattern_steps")
-      ->Add(total.degree_pattern);
-  registry.GetCounter("deepdirect.estep.sampler.triad_pattern_steps")
-      ->Add(total.triad_pattern);
+  for (const auto& [field, name] : kCounters) {
+    uint64_t total = 0;
+    for (const EStepTally& t : tallies) total += t.*field;
+    registry.GetCounter(name)->Add(total);
+  }
 }
 
 /// One E-step SGD step; returns the step's loss contribution (0.0 when
@@ -212,6 +220,167 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
   kernels::ApplyGradDecay<A>(m_e, grad_m, lr, config.embedding_l2);
 
   return step_loss;
+}
+
+// Sampling distributions over the closure arcs: P_c ∝ deg_tie over the
+// source arcs and P_n ∝ (deg_tie + 1)^{3/4} (or uniform, as an ablation)
+// over all arcs. `sources` restricts P_c to a subset (the incremental
+// affected set A, ascending arc ids); empty means every arc.
+struct Samplers {
+  Samplers(const TieIndex& idx, const DeepDirectConfig& config,
+           std::span<const uint32_t> source_arcs = {})
+      : sources(source_arcs),
+        source_weights(SourceWeights(idx, source_arcs)),
+        source(source_weights),
+        noise(NoiseWeights(idx, config)) {}
+
+  size_t SampleSource(util::Rng& r) const {
+    const size_t i = source.Sample(r);
+    return sources.empty() ? i : sources[i];
+  }
+  size_t SampleNoise(util::Rng& r) const { return noise.Sample(r); }
+
+  std::span<const uint32_t> sources;
+  /// P_c weights, one per source arc (shard-affine tables slice these).
+  std::vector<double> source_weights;
+  util::AliasTable source;
+  util::AliasTable noise;
+
+ private:
+  static std::vector<double> SourceWeights(const TieIndex& idx,
+                                           std::span<const uint32_t> arcs) {
+    std::vector<double> weights(arcs.empty() ? idx.num_arcs() : arcs.size());
+    for (size_t i = 0; i < weights.size(); ++i) {
+      weights[i] = idx.TieDegree(arcs.empty() ? i : arcs[i]);
+    }
+    // Degenerate but legal: a network where every destination is a leaf
+    // has no connected tie pairs; fall back to uniform source sampling.
+    if (std::accumulate(weights.begin(), weights.end(), 0.0) <= 0.0) {
+      std::fill(weights.begin(), weights.end(), 1.0);
+    }
+    return weights;
+  }
+  static std::vector<double> NoiseWeights(const TieIndex& idx,
+                                          const DeepDirectConfig& config) {
+    std::vector<double> weights(idx.num_arcs());
+    for (size_t e = 0; e < weights.size(); ++e) {
+      weights[e] = config.uniform_negative_sampling
+                       ? 1.0
+                       : std::pow(idx.TieDegree(e) + 1.0, 0.75);
+    }
+    return weights;
+  }
+};
+
+// Storage environment over the heap-resident training state (TieIndex,
+// pattern arena, ml::Matrix M and N). Pattern() is only ever consulted for
+// sampled sources, which is what makes an arc-masked pattern arena safe
+// when the samplers are restricted to the masked arcs (PrecomputePatterns).
+struct InRamEnv {
+  const TieIndex& idx;
+  const PatternPrecompute& patterns;
+  ml::Matrix& m;
+  ml::Matrix& n;
+  const Samplers& samplers;
+
+  struct PatternView {
+    bool degree_active;
+    double pseudo_label;
+    std::span<const std::pair<uint32_t, uint32_t>> triads;
+  };
+
+  size_t num_arcs() const { return idx.num_arcs(); }
+  std::span<float> MRow(size_t e) { return m.Row(e); }
+  std::span<float> NRow(size_t e) { return n.Row(e); }
+  size_t SampleSource(const train::SgdStep&, util::Rng& r) const {
+    return samplers.SampleSource(r);
+  }
+  size_t SampleNoise(util::Rng& r) const { return samplers.SampleNoise(r); }
+  size_t SampleConnectedTie(size_t e, util::Rng& r) const {
+    return idx.SampleConnectedTie(e, r);
+  }
+  ArcClass ClassOf(size_t e) const { return idx.Class(e); }
+  bool IsLabeled(size_t e) const { return idx.IsLabeled(e); }
+  double Label(size_t e) const { return idx.Label(e); }
+  uint32_t TieDegreeOf(size_t e) const { return idx.TieDegree(e); }
+  PatternView Pattern(size_t e) const {
+    const uint32_t s = patterns.slot[e];
+    const uint32_t t_begin = patterns.triad_offsets[s];
+    const uint32_t t_end = patterns.triad_offsets[s + 1];
+    return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
+            std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
+  }
+};
+
+/// SgdOptions for an E-step run of `steps` steps: the config's thread
+/// count, decay schedule and progress hook, per-worker streams keyed on
+/// `seed`, telemetry under `metrics_prefix`. Callers add what is their
+/// own (epoch length, checkpointer, shard plan).
+inline train::SgdOptions EStepOptions(const DeepDirectConfig& config,
+                                      uint64_t steps, uint64_t seed,
+                                      std::string metrics_prefix) {
+  train::SgdOptions options;
+  options.steps = steps;
+  options.num_threads = config.num_threads;
+  options.lr = config.Schedule();
+  options.shard_seed = seed;
+  options.progress = config.progress;
+  options.report_every = config.report_every;
+  options.metrics_prefix = std::move(metrics_prefix);
+  return options;
+}
+
+/// The E-step: `options.steps` EStepStep calls against `env` through one
+/// SgdDriver, each worker with its own gradient scratch and sampler tally,
+/// updating (w', b') in place; the tallies reach obs once after the run.
+template <typename Env>
+void RunEStep(Env& env, const train::SgdOptions& options,
+              const DeepDirectConfig& config, util::Rng& rng,
+              std::vector<double>& w_prime, double& b_prime) {
+  // Loss tracking costs a LogSigmoid per sample; pay it when the caller
+  // listens (progress callback) or telemetry is being recorded. The loss
+  // value never feeds back into updates, so tracking cannot perturb them.
+  const bool track_loss =
+      static_cast<bool>(config.progress) || obs::Enabled();
+  const uint64_t total_steps = options.steps;
+  train::SgdDriver driver(options);
+  std::vector<std::vector<double>> grad_scratch(
+      driver.num_workers(), std::vector<double>(config.dimensions, 0.0));
+  std::vector<EStepTally> tallies(driver.num_workers());
+  driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
+    using A = decltype(access);
+    return EStepStep<A>(env, ctx, config, total_steps, track_loss,
+                        grad_scratch[ctx.worker], w_prime, b_prime,
+                        tallies[ctx.worker]);
+  });
+  FlushTallies(tallies);
+}
+
+/// The D-step (Sec. 4.5.2): an L2 logistic regression over the embedding
+/// rows of labeled arcs, warm-started from the E-step's (w', b'), plus the
+/// MLP head (Sec. 8) on the same rows when the config selects it and `mlp`
+/// is given. `row(e)` yields arc e's embedding row.
+template <typename RowFn>
+void RunDStep(const TieIndex& idx, RowFn&& row, const DeepDirectConfig& config,
+              const ml::LogisticRegressionConfig& d_config,
+              const std::vector<double>& w_prime, double b_prime,
+              ml::LogisticRegression& regression,
+              std::optional<ml::MlpClassifier>* mlp) {
+  const size_t l = config.dimensions;
+  ml::Dataset data(l);
+  std::vector<double> features(l);
+  for (size_t e = 0; e < idx.num_arcs(); ++e) {
+    if (!idx.IsLabeled(e)) continue;
+    const auto r = row(e);
+    for (size_t k = 0; k < l; ++k) features[k] = r[k];
+    data.Add(features, idx.Label(e));
+  }
+  regression = ml::LogisticRegression(w_prime, b_prime);
+  regression.Train(data, d_config);
+  if (mlp != nullptr && config.d_step_head == DStepHead::kMlp) {
+    mlp->emplace(l, config.d_step_mlp.hidden_units, config.d_step_mlp.seed);
+    (*mlp)->Train(data, config.d_step_mlp);
+  }
 }
 
 }  // namespace deepdirect::core::internal

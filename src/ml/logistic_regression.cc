@@ -12,15 +12,17 @@ namespace deepdirect::ml {
 
 double LogisticRegression::Score(std::span<const double> features) const {
   DD_CHECK_EQ(features.size(), weights_.size());
-  double score = bias_;
-  for (size_t j = 0; j < weights_.size(); ++j) {
-    score += weights_[j] * features[j];
-  }
-  return score;
+  return LinearScore(weights_.data(), bias_, features.data(),
+                     features.size());
 }
 
 double LogisticRegression::Predict(std::span<const double> features) const {
   return Sigmoid(Score(features));
+}
+
+double LogisticRegression::PredictRow(std::span<const float> row) const {
+  DD_CHECK_EQ(row.size(), weights_.size());
+  return Sigmoid(LinearScore(weights_.data(), bias_, row.data(), row.size()));
 }
 
 double LogisticRegression::Train(const Dataset& data,

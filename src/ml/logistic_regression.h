@@ -49,6 +49,21 @@ struct LogisticRegressionConfig {
   }
 };
 
+/// The linear score w·x + b over `n` features, accumulated bias first and
+/// then in index order with each feature promoted to double. This is the
+/// one scorer: LogisticRegression::Score, the trained DeepDirect models and
+/// the serving artifact all score through it, so an f32 embedding row and
+/// its double-promoted copy give bit-identical scores.
+template <typename T>
+inline double LinearScore(const double* weights, double bias, const T* x,
+                          size_t n) {
+  double score = bias;
+  for (size_t j = 0; j < n; ++j) {
+    score += weights[j] * static_cast<double>(x[j]);
+  }
+  return score;
+}
+
 /// Binary logistic regression d(x) = sigmoid(w·x + b).
 class LogisticRegression {
  public:
@@ -69,6 +84,10 @@ class LogisticRegression {
 
   /// Raw linear score w·x + b.
   double Score(std::span<const double> features) const;
+
+  /// Probability for an f32 row (an embedding row), bit-identical to
+  /// Predict on the row promoted to double.
+  double PredictRow(std::span<const float> row) const;
 
   /// Trains by weighted SGD on cross-entropy + L2. Existing parameters are
   /// the starting point (zero for a fresh model). Returns the final average
