@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../tests/crc32_reference.h"
+#include "../tests/temp_dir.h"
 #include "bench_common.h"
 #include "core/deepdirect.h"
 #include "core/tie_index.h"
@@ -360,7 +361,9 @@ void BM_CheckpointOverhead(benchmark::State& state) {
   config.dimensions = 64;
   config.samples_per_arc = 5;  // 5 epochs of num_arcs steps
   const uint64_t every = static_cast<uint64_t>(state.range(0));
-  const std::string dir = "/tmp/deepdirect_bench_ckpt";
+  // A per-process mkdtemp directory, removed at exit, so concurrent bench
+  // runs never share checkpoint files.
+  const std::string dir = deepdirect::testing::TempPath("bench_ckpt");
   if (every > 0) {
     config.checkpoint.dir = dir;
     config.checkpoint.policy.every_n_epochs = every;

@@ -52,8 +52,9 @@ def measurement_key(measurement):
 
 
 def is_timing(measurement):
+    """Wall-clock durations and rates (steps/sec, GB/s): host-dependent."""
     unit = measurement.get("unit", "")
-    return unit.endswith("seconds") or unit.endswith("ns")
+    return unit.endswith(("seconds", "ns", "/sec", "/s"))
 
 
 def compare(baseline_reports, current_reports, threshold, skip_timing):
@@ -182,6 +183,29 @@ def self_test():
             json.dump(timing_only_bad, handle)
         checks[2] = ("skip-timing hides wall",
                      run(base_dir, bad_dir, 0.15, True, False), 0)
+
+        # Rates are timing too: a 30% steps/sec drop is skipped under
+        # --skip-timing and still gated without it.
+        rate_dir = os.path.join(tmp, "rate")
+        os.makedirs(rate_dir)
+        rate_base = make_report("rate", [
+            measurement("throughput", "steps/sec", "higher", 1000.0),
+            measurement("bandwidth", "GB/s", "higher", 2.0),
+        ])
+        rate_slow = make_report("rate", [
+            measurement("throughput", "steps/sec", "higher", 700.0),
+            measurement("bandwidth", "GB/s", "higher", 1.4),
+        ])
+        with open(os.path.join(base_dir, "BENCH_rate.json"), "w") as handle:
+            json.dump(rate_base, handle)
+        with open(os.path.join(rate_dir, "BENCH_rate.json"), "w") as handle:
+            json.dump(rate_slow, handle)
+        with open(os.path.join(rate_dir, "BENCH_demo.json"), "w") as handle:
+            json.dump(base, handle)
+        checks.append(("skip-timing hides rates",
+                       run(base_dir, rate_dir, 0.15, True, False), 0))
+        checks.append(("rates gated without skip-timing",
+                       run(base_dir, rate_dir, 0.15, False, False), 1))
 
         failures = [name for name, got, want in checks if got != want]
         for name, got, want in checks:

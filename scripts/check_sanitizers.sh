@@ -3,6 +3,9 @@
 #
 # Usage:  scripts/check_sanitizers.sh [thread|address]   (default: thread)
 #
+# `address` builds with ASan and UBSan together (DEEPDIRECT_SANITIZE in
+# CMakeLists.txt); an undefined-behaviour report aborts the test binary.
+#
 # The thread run is the important one: it drives every Hogwild trainer with
 # multiple workers under TSan, proving the relaxed-atomic access policy
 # keeps the lock-free updates data-race-free under the C++ memory model.
@@ -45,11 +48,14 @@ TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # Multi-worker + determinism tests exercise the Hogwild path and the serial
-# path; halt on the first sanitizer report.
+# path; every ShardedTrainerTest and IncrementalTest case drives the shared
+# E-step/D-step driver (core/estep_body.h) through its out-of-core and
+# incremental entry points. Halt on the first sanitizer report.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ShardedTrainerTest.*:IncrementalTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -25,6 +25,11 @@
 //   5. D-step — retrained over all labeled arcs, warm-started from the
 //      updated (w', b'), exactly like a full run.
 //
+// Steps 4 and 5 run through the same driver as full training
+// (core/estep_body.h): its Samplers take A as the source-arc list, and
+// InRamEnv, RunEStep and RunDStep are shared unchanged. ApplyTieBatch
+// itself keeps only the splice, the row remap and the affected set.
+//
 // Applying an empty batch is bit-identical to resuming the completed run
 // from its final checkpoint: the remap is the identity, the quota is zero,
 // and the D-step sees the same features and the same warm start.

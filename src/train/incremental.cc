@@ -191,19 +191,22 @@ util::Result<EStepState> LoadEStepState(const std::string& dir,
       "written when CheckpointPolicy::write_final is set)");
 }
 
+util::Status EStepState::CheckShape() const {
+  if (dimensions == 0 || w_prime.size() != dimensions ||
+      m.size() != num_arcs * dimensions || n.size() != m.size()) {
+    return util::Status::InvalidArgument(
+        "inconsistent E-step state: " + std::to_string(num_arcs) +
+        " arcs x " + std::to_string(dimensions) + " dims, m " +
+        std::to_string(m.size()) + ", n " + std::to_string(n.size()) +
+        ", w_prime " + std::to_string(w_prime.size()));
+  }
+  return util::Status::OK();
+}
+
 util::Status SaveEStepState(const std::string& dir,
                             const std::string& trainer,
                             const EStepState& state) {
-  if (state.dimensions == 0 || state.w_prime.size() != state.dimensions ||
-      state.m.size() != state.num_arcs * state.dimensions ||
-      state.n.size() != state.m.size()) {
-    return util::Status::InvalidArgument(
-        "inconsistent E-step state: " + std::to_string(state.num_arcs) +
-        " arcs x " + std::to_string(state.dimensions) + " dims, m " +
-        std::to_string(state.m.size()) + ", n " +
-        std::to_string(state.n.size()) + ", w_prime " +
-        std::to_string(state.w_prime.size()));
-  }
+  DD_RETURN_NOT_OK(state.CheckShape());
   CheckpointWriter writer;
   CheckpointMetaMirror meta;
   meta.epochs_done = state.epochs_done;

@@ -84,6 +84,10 @@ struct EStepState {
   double b_prime = 0.0;
   uint64_t tie_hash = 0;
   uint64_t epochs_done = 0;
+
+  /// OK when M and N hold num_arcs × dimensions values each and w'
+  /// `dimensions` (> 0); InvalidArgument naming the sizes otherwise.
+  util::Status CheckShape() const;
 };
 
 /// Scans `dir` for the newest valid checkpoint tagged `trainer` and
