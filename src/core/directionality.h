@@ -14,6 +14,14 @@
 
 namespace deepdirect::core {
 
+/// The NotFound a model whose d exists only on training ties returns from
+/// TryDirectionality for a pair that hosts none.
+inline util::Status NoTieError(graph::NodeId u, graph::NodeId v) {
+  return util::Status::NotFound("no tie between " + std::to_string(u) +
+                                " and " + std::to_string(v) +
+                                " in the training network");
+}
+
 /// Abstract directionality function over a fixed training network.
 class DirectionalityModel {
  public:
